@@ -5,9 +5,9 @@
 //
 //   * events/sec on a representative event mix (timer chains with
 //     packet-sized captures, immediate wake-ups, and cancellations),
-//   * the same mix on an embedded replica of the pre-overhaul engine
-//     (std::priority_queue + dual hash sets + std::function), giving a
-//     live speedup ratio,
+//   * the same mix on the pre-overhaul reference engine
+//     (tests/support/reference_engine.h: std::priority_queue + dual hash
+//     sets + std::function), giving a live speedup ratio,
 //   * packets/sec and allocations/packet through the full Network
 //     forwarding path (route cache + transit pool + TCP-sized frames),
 //   * the conservative-parallel thread-scaling curve: one fixed
@@ -34,13 +34,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <new>
-#include <queue>
 #include <sstream>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "bench_util.h"
@@ -49,6 +46,7 @@
 #include "net/cluster.h"
 #include "net/network.h"
 #include "net/packet.h"
+#include "support/reference_engine.h"
 
 // ---------------------------------------------------------------------------
 // Instrumented allocator: every operator-new call site in the process is
@@ -68,89 +66,6 @@ void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
-namespace refdes {
-
-// Faithful replica of the pre-overhaul engine (the seed implementation):
-// binary priority_queue of events owning std::function callbacks, with
-// cancellation tracked in two hash sets. Kept here so the speedup the
-// overhaul bought is measured live on this machine, not quoted.
-class Engine {
- public:
-  using Callback = std::function<void()>;
-  struct EventId {
-    std::uint64_t seq = 0;
-    [[nodiscard]] bool valid() const noexcept { return seq != 0; }
-  };
-
-  Engine() = default;
-  [[nodiscard]] des::SimTime now() const noexcept { return now_; }
-
-  EventId schedule_at(des::SimTime t, Callback fn, int priority = 0) {
-    const std::uint64_t seq = next_seq_++;
-    queue_.push(Event{t, priority, seq, std::move(fn)});
-    live_.insert(seq);
-    return EventId{seq};
-  }
-  EventId schedule_in(des::Duration dt, Callback fn, int priority = 0) {
-    return schedule_at(now_ + dt, std::move(fn), priority);
-  }
-  bool cancel(EventId id) {
-    if (!id.valid() || live_.count(id.seq) == 0) return false;
-    return cancelled_.insert(id.seq).second;
-  }
-  bool step() {
-    while (!queue_.empty()) {
-      Event event;
-      if (!pop_head(event)) continue;
-      now_ = event.time;
-      ++processed_;
-      event.fn();
-      return true;
-    }
-    return false;
-  }
-  void run() {
-    while (step()) {
-    }
-  }
-  [[nodiscard]] std::uint64_t processed() const noexcept { return processed_; }
-
- private:
-  struct Event {
-    des::SimTime time{};
-    int priority = 0;
-    std::uint64_t seq = 0;
-    Callback fn;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      if (a.time != b.time) return a.time > b.time;
-      if (a.priority != b.priority) return a.priority > b.priority;
-      return a.seq > b.seq;
-    }
-  };
-  bool pop_head(Event& out) {
-    Event event = queue_.top();
-    queue_.pop();
-    live_.erase(event.seq);
-    if (const auto it = cancelled_.find(event.seq); it != cancelled_.end()) {
-      cancelled_.erase(it);
-      return false;
-    }
-    out = std::move(event);
-    return true;
-  }
-
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::unordered_set<std::uint64_t> live_;
-  std::unordered_set<std::uint64_t> cancelled_;
-  des::SimTime now_{};
-  std::uint64_t next_seq_ = 1;
-  std::uint64_t processed_ = 0;
-};
-
-}  // namespace refdes
 
 namespace {
 
@@ -282,8 +197,9 @@ struct Train {
 };
 
 ForwardResult run_forwarding(std::uint64_t packets) {
-  des::Engine engine;
-  net::Network network{engine, net::perseus(16)};
+  des::PartitionSet sim{1, des::Duration{}};
+  des::Engine& engine = sim.engine(des::PartitionId{0});
+  net::Network network{sim, net::perseus(16)};
   constexpr int kTrains = 32;
   std::uint64_t remaining = packets < 2000 ? packets : 2000;
   std::uint64_t delivered = 0;

@@ -26,8 +26,8 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", net::describe(params).c_str());
 
-  des::Engine engine;
-  net::Network network{engine, params};
+  des::PartitionSet sim{1, des::Duration{}};
+  net::Network network{sim, params};
   std::printf("routes (hop counts include NICs, fabric and trunks):\n");
   const int probes[][2] = {{0, 1},
                            {0, params.nodes - 1},

@@ -5,8 +5,10 @@
 //   * "actual"  — really executed on the simulated cluster, with real grid
 //                 arithmetic (so numerics are verifiable) and the paper's
 //                 measured serial cost charged as virtual compute time;
-//   * PEVPM     — the Figure 5 annotations extracted from this very file
-//                 and evaluated against MPIBench distribution tables;
+//   * PEVPM     — the Figure 5 annotations in kAnnotatedSkeleton below,
+//                 evaluated against MPIBench distribution tables (this
+//                 whole file also parses as PEVPM-annotated source, to the
+//                 same model);
 //   * naive     — the same model evaluated with 2x1 ping-pong averages,
 //                 the "conventional benchmark" prediction.
 //
@@ -173,7 +175,7 @@ int main(int argc, char** argv) {
     });
     const double actual = des::to_seconds(rt.elapsed());
 
-    // PEVPM prediction from distributions.
+    // Prediction from distributions (PEVPM).
     pevpm::PredictOptions popt;
     popt.replications = 5;
     popt.seed = 99;

@@ -121,8 +121,8 @@ class Runtime {
     /// behaviour, bit for bit). N >= 1: partition the cluster by switch
     /// and run the conservative parallel engine on N threads (N == 1 is
     /// the serial reference of the same partitioned execution). Output is
-    /// identical for every N >= 1, and — by the determinism contract —
-    /// identical to the sequential run as well.
+    /// identical for every N >= 1, but not always identical to the
+    /// sequential run (DESIGN.md §9 has a differing cell).
     int sim_threads = 0;
   };
 

@@ -7,14 +7,8 @@
 
 namespace net {
 
-Network::Network(des::Engine& engine, ClusterParams params)
-    : engine0_{&engine}, params_{std::move(params)} {
-  parts_.resize(1);
-  build_links();
-}
-
 Network::Network(des::PartitionSet& sim, ClusterParams params)
-    : sim_{&sim}, params_{std::move(params)} {
+    : sim_{sim}, params_{std::move(params)} {
   const int k = sim.partitions();
   if (k != 1 && k != params_.switch_count()) {
     throw std::invalid_argument{
@@ -239,19 +233,19 @@ void Network::forward_hop(std::uint32_t part, std::uint32_t index) {
     if (drop) {
       // Rare oversized capture (user-supplied drop callback crossing a
       // boundary); SmallFn falls back to the heap for it.
-      sim_->post(from_id, to_id, at,
-                 [this, to, next_hop, packet, deliver = std::move(deliver),
-                  drop = std::move(drop)]() mutable {
-                   resume_transit(to, next_hop, packet, std::move(deliver),
-                                  std::move(drop));
-                 });
+      sim_.post(from_id, to_id, at,
+                [this, to, next_hop, packet, deliver = std::move(deliver),
+                 drop = std::move(drop)]() mutable {
+                  resume_transit(to, next_hop, packet, std::move(deliver),
+                                 std::move(drop));
+                });
     } else {
-      sim_->post(from_id, to_id, at,
-                 [this, to, next_hop, packet,
-                  deliver = std::move(deliver)]() mutable {
-                   resume_transit(to, next_hop, packet, std::move(deliver),
-                                  nullptr);
-                 });
+      sim_.post(from_id, to_id, at,
+                [this, to, next_hop, packet,
+                 deliver = std::move(deliver)]() mutable {
+                  resume_transit(to, next_hop, packet, std::move(deliver),
+                                 nullptr);
+                });
     }
     return;
   }

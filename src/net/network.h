@@ -9,15 +9,17 @@
 // (network, partition, index) and fit every small-object buffer on the way
 // down.
 //
-// Partitioned mode (the conservative parallel engine): each switch — its
-// node NICs, its forwarding fabric, and the trunk to its upper neighbour —
-// is one logical process owning a des::Engine, a transit pool and a route
-// cache. A frame whose next hop belongs to another partition is resolved at
-// submit time on the last link this partition owns (Link::submit_resolved)
-// and the continuation is posted through the PartitionSet mailbox, arriving
-// at least min-link-latency + switch-latency later — the lookahead
-// (ClusterParams::lookahead()). A one-partition set takes exactly the
-// sequential code path: no boundaries exist, no posts happen.
+// The network is always built over a des::PartitionSet. A one-partition
+// set is the sequential engine: every link lives on its sole engine, no
+// boundaries exist and no posts happen. Switch-partitioned mode (the
+// conservative parallel engine) uses one partition per switch — its node
+// NICs, its forwarding fabric, and the trunk to its upper neighbour — each
+// owning a des::Engine, a transit pool and a route cache. A frame whose
+// next hop belongs to another partition is resolved at submit time on the
+// last link this partition owns (Link::submit_resolved) and the
+// continuation is posted through the PartitionSet mailbox, arriving at
+// least min-link-latency + switch-latency later — the lookahead
+// (ClusterParams::lookahead()).
 #pragma once
 
 #include <cstdint>
@@ -41,12 +43,11 @@ class Network {
   using DeliverFn = std::function<void(const Packet&)>;
   using DropFn = std::function<void(const Packet&)>;
 
-  /// Sequential network: every link on one engine, one partition.
-  Network(des::Engine& engine, ClusterParams params);
-
-  /// Partitioned network over a conservative parallel engine set. The set
-  /// must have either one partition (sequential semantics, any topology) or
-  /// exactly params.switch_count() partitions (switch-partitioned mode).
+  /// Network over a conservative parallel engine set. The set must have
+  /// either one partition (sequential semantics, any topology) or exactly
+  /// params.switch_count() partitions (switch-partitioned mode), whose
+  /// lookahead must not exceed params.safe_lookahead(); otherwise throws
+  /// std::invalid_argument.
   Network(des::PartitionSet& sim, ClusterParams params);
 
   Network(const Network&) = delete;
@@ -134,7 +135,7 @@ class Network {
 
   void build_links();
   [[nodiscard]] des::Engine& engine_for(units::PartitionId part) const {
-    return sim_ ? sim_->engine(part) : *engine0_;
+    return sim_.engine(part);
   }
 
   [[nodiscard]] std::span<Link* const> route_span(int part, int src_node,
@@ -158,8 +159,7 @@ class Network {
 
   void check_route_args(int src_node, int dst_node) const;
 
-  des::PartitionSet* sim_ = nullptr;   ///< null in sequential mode
-  des::Engine* engine0_ = nullptr;     ///< the sole engine, sequential mode
+  des::PartitionSet& sim_;
   ClusterParams params_;
   std::vector<std::unique_ptr<Link>> nic_tx_;
   std::vector<std::unique_ptr<Link>> nic_rx_;

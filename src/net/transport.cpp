@@ -7,21 +7,11 @@
 
 namespace net {
 
-Transport::Transport(des::Engine& engine, Network& network)
-    : engine0_{&engine},
-      network_{network},
-      tcp_{network.params().tcp},
-      wire_{network.params().wire},
-      lookahead_{network.params().lookahead()} {
-  shards_.resize(1);
-}
-
 Transport::Transport(des::PartitionSet& sim, Network& network)
-    : sim_{&sim},
+    : sim_{sim},
       network_{network},
       tcp_{network.params().tcp},
-      wire_{network.params().wire},
-      lookahead_{sim.lookahead()} {
+      wire_{network.params().wire} {
   if (network.partitions() != sim.partitions()) {
     throw std::invalid_argument{
         "Transport: network was built over a different partition set"};
@@ -118,12 +108,12 @@ void Transport::send(std::uint64_t stream, int src_node, int dst_node,
     // (end offset, callback) pair through the mailbox one lookahead out.
     // It beats the first data byte — see the class comment.
     const SeqNo end = conn.stream_end;
-    sim_->post(sp, dp, engine_of(src_node).now() + lookahead_,
-               [this, stream, src_node, dst_node, end,
-                cb = std::move(on_delivered)]() mutable {
-                 register_message(stream, src_node, dst_node, end,
-                                  std::move(cb));
-               });
+    sim_.post(sp, dp, engine_of(src_node).now() + sim_.lookahead(),
+              [this, stream, src_node, dst_node, end,
+               cb = std::move(on_delivered)]() mutable {
+                register_message(stream, src_node, dst_node, end,
+                                 std::move(cb));
+              });
   }
   pump(conn);
 }

@@ -13,16 +13,17 @@
 // Messages are byte counts; delivery callbacks fire when the last stream
 // byte of a message arrives in order at the destination host.
 //
-// Partitioned mode: a connection's sender half (sequence numbers,
-// congestion state, the RTO timer) is pinned to the source node's
-// partition and its receiver half (reassembly, pending deliveries) to the
-// destination node's, matching where the network delivers data and ACK
-// packets. The only sender-to-receiver control transfer outside the packet
-// path — registering a message's end offset and delivery callback — rides
-// the PartitionSet mailbox one lookahead ahead, which always beats the
-// first data byte (end-to-end is at least two NIC latencies plus a switch
-// hop). With one partition both halves live in shard 0 and every path is
-// the sequential one.
+// The transport runs over the PartitionSet its Network was built on. A
+// connection's sender half (sequence numbers, congestion state, the RTO
+// timer) is pinned to the source node's partition and its receiver half
+// (reassembly, pending deliveries) to the destination node's, matching
+// where the network delivers data and ACK packets. The only
+// sender-to-receiver control transfer outside the packet path —
+// registering a message's end offset and delivery callback — rides the
+// PartitionSet mailbox one lookahead ahead, which always beats the first
+// data byte (end-to-end is at least two NIC latencies plus a switch hop).
+// With one partition both halves live in shard 0 and every path is the
+// sequential one.
 #pragma once
 
 #include <cstdint>
@@ -43,9 +44,8 @@ class Transport {
  public:
   using DeliveredFn = std::function<void()>;
 
-  /// Sequential transport on a single engine.
-  Transport(des::Engine& engine, Network& network);
-  /// Partitioned transport; `network` must be built over the same set.
+  /// `network` must be built over a set with the same partition count as
+  /// `sim`; otherwise throws std::invalid_argument.
   Transport(des::PartitionSet& sim, Network& network);
 
   Transport(const Transport&) = delete;
@@ -125,7 +125,7 @@ class Transport {
     return network_.partition_of_node(node);
   }
   [[nodiscard]] des::Engine& engine_of(int node) const {
-    return sim_ ? sim_->engine(partition_of(node)) : *engine0_;
+    return sim_.engine(partition_of(node));
   }
   [[nodiscard]] Sender& sender(std::uint64_t stream, int src, int dst);
   [[nodiscard]] Sender& sender_of(const Packet& ack_packet);
@@ -147,12 +147,10 @@ class Transport {
   [[nodiscard]] Bytes window_bytes(const Sender& conn) const noexcept;
   void trace_event(const Sender& conn, std::string detail);
 
-  des::PartitionSet* sim_ = nullptr;  ///< null in sequential mode
-  des::Engine* engine0_ = nullptr;    ///< the sole engine, sequential mode
+  des::PartitionSet& sim_;
   Network& network_;
   const TcpParams tcp_;
   const WireFormat wire_;
-  const des::Duration lookahead_;
   trace::Tracer* tracer_ = nullptr;
 
   std::vector<Shard> shards_;

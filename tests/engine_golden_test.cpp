@@ -9,74 +9,17 @@
 // recorded execution orders to match event for event.
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <stdexcept>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "des/engine.h"
 #include "des/partitioned_engine.h"
+#include "support/reference_engine.h"
 
 namespace {
-
-// Reference engine: the simplest implementation of the ordering contract.
-class RefEngine {
- public:
-  using Callback = std::function<void()>;
-  struct EventId {
-    std::uint64_t seq = 0;
-    [[nodiscard]] bool valid() const noexcept { return seq != 0; }
-  };
-
-  [[nodiscard]] des::SimTime now() const noexcept { return now_; }
-
-  EventId schedule_at(des::SimTime t, Callback fn, int priority = 0) {
-    const std::uint64_t seq = next_seq_++;
-    queue_.push(Event{t, priority, seq, std::move(fn)});
-    live_.insert(seq);
-    return EventId{seq};
-  }
-  EventId schedule_in(des::Duration dt, Callback fn, int priority = 0) {
-    return schedule_at(now_ + dt, std::move(fn), priority);
-  }
-  bool cancel(EventId id) {
-    if (!id.valid() || live_.count(id.seq) == 0) return false;
-    return cancelled_.insert(id.seq).second;
-  }
-  void run() {
-    while (!queue_.empty()) {
-      Event event = queue_.top();
-      queue_.pop();
-      live_.erase(event.seq);
-      if (cancelled_.erase(event.seq) > 0) continue;
-      now_ = event.time;
-      event.fn();
-    }
-  }
-
- private:
-  struct Event {
-    des::SimTime time{};
-    int priority = 0;
-    std::uint64_t seq = 0;
-    Callback fn;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      if (a.time != b.time) return a.time > b.time;
-      if (a.priority != b.priority) return a.priority > b.priority;
-      return a.seq > b.seq;
-    }
-  };
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::unordered_set<std::uint64_t> live_;
-  std::unordered_set<std::uint64_t> cancelled_;
-  des::SimTime now_{};
-  std::uint64_t next_seq_ = 1;
-};
 
 /// One recorded execution step: which scripted event ran, and when.
 struct Fired {
@@ -137,7 +80,7 @@ std::vector<Fired> replay(const Script& script) {
 }
 
 void expect_same_order(const Script& script) {
-  const std::vector<Fired> ref = replay<RefEngine>(script);
+  const std::vector<Fired> ref = replay<refdes::Engine>(script);
   const std::vector<Fired> got = replay<des::Engine>(script);
   ASSERT_EQ(ref.size(), got.size());
   for (std::size_t i = 0; i < ref.size(); ++i) {
@@ -469,7 +412,7 @@ TEST(PartitionedGolden, SinglePartitionMatchesPlainEngine) {
       {2, {{ScriptOp::kSchedule, 7, 0, 0, 0},
            {ScriptOp::kCancel, 0, 0, 0, 6}}},
   };
-  const std::vector<Fired> ref = replay<RefEngine>(script);
+  const std::vector<Fired> ref = replay<refdes::Engine>(script);
   const std::vector<Fired> got = replay<SetAdapter>(script);
   ASSERT_EQ(ref.size(), got.size());
   for (std::size_t i = 0; i < ref.size(); ++i) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "des/engine.h"
+#include "des/partitioned_engine.h"
 #include "mpibench/benchmark.h"
 #include "net/cluster.h"
 #include "net/fault.h"
@@ -20,12 +21,13 @@ namespace {
 using net::operator""_KiB;
 
 struct Fixture {
-  des::Engine engine;
+  des::PartitionSet sim{1, des::Duration{}};
+  des::Engine& engine = sim.engine(des::PartitionId{0});
   net::Network network;
   net::Transport transport;
 
   explicit Fixture(net::ClusterParams params)
-      : network{engine, params}, transport{engine, network} {}
+      : network{sim, params}, transport{sim, network} {}
 };
 
 net::FaultParams drop_schedule(std::vector<std::uint64_t> nth) {
@@ -270,8 +272,8 @@ TEST(FaultConfig, RejectsBadFaultInput) {
 }
 
 TEST(FaultConfig, DisabledFaultInjectionInstallsNoModels) {
-  des::Engine engine;
-  net::Network network{engine, net::perseus(2)};
+  des::PartitionSet sim{1, des::Duration{}};
+  net::Network network{sim, net::perseus(2)};
   EXPECT_EQ(network.nic_tx(0).fault_model(), nullptr);
   EXPECT_EQ(network.total_faults(), 0u);
 }

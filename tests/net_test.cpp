@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "des/engine.h"
+#include "des/partitioned_engine.h"
 #include "net/cluster.h"
 #include "net/link.h"
 #include "net/network.h"
@@ -100,9 +101,9 @@ TEST(Link, PerPacketServiceDominatesSmallFrames) {
 }
 
 TEST(Network, HopCountsReflectTopology) {
-  des::Engine engine;
+  des::PartitionSet sim{1, des::Duration{}};
   net::ClusterParams params = net::perseus(64);
-  net::Network network{engine, params};
+  net::Network network{sim, params};
   // Same switch: nic_tx + fabric + nic_rx.
   EXPECT_EQ(network.hop_count(0, 1), 3);
   // Adjacent switches (node 0 on switch 0, node 30 on switch 1): one trunk.
@@ -113,17 +114,18 @@ TEST(Network, HopCountsReflectTopology) {
 }
 
 TEST(Network, RouteRejectsBadNodes) {
-  des::Engine engine;
-  net::Network network{engine, net::perseus(4)};
+  des::PartitionSet sim{1, des::Duration{}};
+  net::Network network{sim, net::perseus(4)};
   EXPECT_THROW((void)network.hop_count(0, 4), std::out_of_range);
   EXPECT_THROW((void)network.hop_count(-1, 2), std::out_of_range);
   EXPECT_THROW((void)network.hop_count(2, 2), std::invalid_argument);
 }
 
 TEST(Network, DeliversAcrossSwitches) {
-  des::Engine engine;
+  des::PartitionSet sim{1, des::Duration{}};
+  des::Engine& engine = sim.engine(des::PartitionId{0});
   net::ClusterParams params = net::perseus(48);
-  net::Network network{engine, params};
+  net::Network network{sim, params};
   bool delivered = false;
   network.send(packet(1, 0, 47, net::Bytes{1538}),
                [&](const net::Packet&) { delivered = true; }, nullptr);
@@ -137,12 +139,27 @@ TEST(Network, DeliversAcrossSwitches) {
 }
 
 TEST(Network, StatsCsvListsLinks) {
-  des::Engine engine;
-  net::Network network{engine, net::perseus(30)};
+  des::PartitionSet sim{1, des::Duration{}};
+  net::Network network{sim, net::perseus(30)};
   const std::string csv = network.stats_csv();
   EXPECT_NE(csv.find("nic_tx.0"), std::string::npos);
   EXPECT_NE(csv.find("trunk.0"), std::string::npos);
   EXPECT_NE(csv.find("fabric.1"), std::string::npos);
+}
+
+TEST(Network, RejectsPartitionCountOtherThanOneOrSwitchCount) {
+  const net::ClusterParams params = net::perseus(48);  // two switches
+  ASSERT_EQ(params.switch_count(), 2);
+  des::PartitionSet three{3, params.safe_lookahead()};
+  EXPECT_THROW((net::Network{three, params}), std::invalid_argument);
+  des::PartitionSet two{2, params.safe_lookahead()};
+  EXPECT_NO_THROW((net::Network{two, params}));
+}
+
+TEST(Network, RejectsLookaheadAboveSafeBound) {
+  const net::ClusterParams params = net::perseus(48);
+  des::PartitionSet sim{2, params.safe_lookahead() + des::Duration{1}};
+  EXPECT_THROW((net::Network{sim, params}), std::invalid_argument);
 }
 
 TEST(Cluster, PerseusShape) {

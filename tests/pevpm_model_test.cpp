@@ -2,10 +2,17 @@
 // Figure-5 annotated-source extractor.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <variant>
+#include <vector>
 
 #include "core/model.h"
 #include "core/parse.h"
+#include "core/predict.h"
+#include "core/theoretical.h"
 
 namespace {
 
@@ -214,6 +221,42 @@ TEST(ParseAnnotations, RejectsGarbage) {
   EXPECT_THROW((void)pevpm::parse_annotated_source(
                    "// PEVPM Message type = MPI_Bcast & size = 4 & to = 1\n"),
                pevpm::ParseError);
+}
+
+TEST(ParseAnnotations, JacobiExampleFileParsesAndEvaluates) {
+  // examples/jacobi.cpp documents the annotate-the-real-code workflow, so
+  // the whole file must parse as annotated source: no ordinary comment may
+  // read as a directive, and the model must be exactly the one in its
+  // kAnnotatedSkeleton raw string.
+  std::ifstream in{JACOBI_EXAMPLE_SOURCE};
+  ASSERT_TRUE(in) << "cannot open " << JACOBI_EXAMPLE_SOURCE;
+  std::stringstream source;
+  source << in.rdbuf();
+  const std::string text = source.str();
+  const std::string marker = "kAnnotatedSkeleton = R\"(";
+  const std::size_t begin = text.find(marker);
+  ASSERT_NE(begin, std::string::npos);
+  const std::size_t end = text.find(")\";", begin);
+  ASSERT_NE(end, std::string::npos);
+  const Model skeleton = pevpm::parse_annotated_source(
+      text.substr(begin + marker.size(), end - begin - marker.size()),
+      "jacobi");
+
+  const Model m = pevpm::parse_annotated_source(text, "jacobi");
+  EXPECT_EQ(m.str(), skeleton.str());
+
+  const std::vector<net::Bytes> sizes{net::Bytes{1024}};
+  const std::vector<int> contentions{1, 2, 4};
+  const pevpm::TheoreticalMachine machine;
+  const auto table = pevpm::make_theoretical_table(machine, sizes, contentions);
+  pevpm::PredictOptions opts;
+  opts.replications = 2;
+  opts.threads = 1;
+  const auto prediction = pevpm::predict(m, 4, {}, table, opts);
+  EXPECT_FALSE(prediction.deadlocked);
+  // One iteration: the 3.24 s / 4 serial step plus the halo exchange.
+  EXPECT_GT(prediction.seconds(), 3.24 / 4);
+  EXPECT_TRUE(std::isfinite(prediction.seconds()));
 }
 
 TEST(ParseAnnotations, IgnoresOrdinaryCode) {

@@ -9,6 +9,7 @@
 #include "core/sampler.h"
 #include "core/vm.h"
 #include "des/engine.h"
+#include "des/partitioned_engine.h"
 #include "mpi/comm.h"
 #include "mpi/runtime.h"
 #include "net/cluster.h"
@@ -38,9 +39,10 @@ TEST_P(TransportReliability, ExactlyOnceInOrder) {
   const TransportCase c = GetParam();
   net::ClusterParams params = net::perseus(4);
   params.nic.buffer = net::Bytes{c.nic_buffer_frames * 1538};
-  des::Engine engine;
-  net::Network network{engine, params};
-  net::Transport transport{engine, network};
+  des::PartitionSet sim{1, des::Duration{}};
+  des::Engine& engine = sim.engine(des::PartitionId{0});
+  net::Network network{sim, params};
+  net::Transport transport{sim, network};
 
   stats::Rng rng{c.seed};
   std::vector<std::vector<int>> delivered(4);

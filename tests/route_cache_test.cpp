@@ -6,17 +6,17 @@
 
 #include <gtest/gtest.h>
 
-#include "des/engine.h"
+#include "des/partitioned_engine.h"
 #include "net/cluster.h"
 #include "net/network.h"
 
 namespace {
 
 TEST(RouteCache, SpanMatchesFreshRouteForAllPairs) {
-  des::Engine engine;
+  des::PartitionSet sim{1, des::Duration{}};
   // 50 nodes spans 3 switches (24 ports each), so routes cover 0, 1 and 2
   // trunk hops in both directions.
-  net::Network network{engine, net::perseus(50)};
+  net::Network network{sim, net::perseus(50)};
   for (int src = 0; src < network.nodes(); ++src) {
     for (int dst = 0; dst < network.nodes(); ++dst) {
       if (src == dst) continue;
@@ -31,8 +31,8 @@ TEST(RouteCache, SpanMatchesFreshRouteForAllPairs) {
 }
 
 TEST(RouteCache, RepeatedLookupsReuseTheSameStorage) {
-  des::Engine engine;
-  net::Network network{engine, net::perseus(8)};
+  des::PartitionSet sim{1, des::Duration{}};
+  net::Network network{sim, net::perseus(8)};
   const auto first = network.route_span(0, 5);
   const auto second = network.route_span(0, 5);
   EXPECT_EQ(first.data(), second.data())
@@ -41,8 +41,8 @@ TEST(RouteCache, RepeatedLookupsReuseTheSameStorage) {
 }
 
 TEST(RouteCache, HopCountMatchesRouteLength) {
-  des::Engine engine;
-  net::Network network{engine, net::perseus(50)};
+  des::PartitionSet sim{1, des::Duration{}};
+  net::Network network{sim, net::perseus(50)};
   for (int src = 0; src < network.nodes(); ++src) {
     for (int dst = 0; dst < network.nodes(); ++dst) {
       if (src == dst) continue;
@@ -54,8 +54,8 @@ TEST(RouteCache, HopCountMatchesRouteLength) {
 }
 
 TEST(RouteCache, ArgumentValidationMatchesRoute) {
-  des::Engine engine;
-  net::Network network{engine, net::perseus(4)};
+  des::PartitionSet sim{1, des::Duration{}};
+  net::Network network{sim, net::perseus(4)};
   EXPECT_THROW((void)network.route_span(0, 0), std::invalid_argument);
   EXPECT_THROW((void)network.hop_count(2, 2), std::invalid_argument);
   EXPECT_THROW((void)network.route_span(-1, 2), std::out_of_range);
@@ -64,10 +64,10 @@ TEST(RouteCache, ArgumentValidationMatchesRoute) {
 }
 
 TEST(RouteCache, ParamsSurviveByValueConstruction) {
-  des::Engine engine;
+  des::PartitionSet sim{1, des::Duration{}};
   net::ClusterParams params = net::perseus(6);
   const des::Duration latency = params.switch_latency;
-  net::Network network{engine, params};  // copies; ctor moves internally
+  net::Network network{sim, params};  // copies; ctor moves internally
   EXPECT_EQ(network.params().nodes, 6);
   EXPECT_EQ(network.params().switch_latency, latency);
   EXPECT_EQ(params.nodes, 6) << "caller's copy must be untouched";

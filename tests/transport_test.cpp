@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "des/engine.h"
+#include "des/partitioned_engine.h"
 #include "net/cluster.h"
 #include "net/network.h"
 #include "net/transport.h"
@@ -12,12 +13,13 @@ using net::operator""_KiB;
 using net::operator""_MiB;
 
 struct Fixture {
-  des::Engine engine;
+  des::PartitionSet sim{1, des::Duration{}};
+  des::Engine& engine = sim.engine(des::PartitionId{0});
   net::Network network;
   net::Transport transport;
 
   explicit Fixture(net::ClusterParams params)
-      : network{engine, params}, transport{engine, network} {}
+      : network{sim, params}, transport{sim, network} {}
 };
 
 TEST(Transport, SingleSegmentDelivery) {
@@ -134,6 +136,14 @@ TEST(Transport, ManyConcurrentStreamsAllComplete) {
   }
   f.engine.run();
   EXPECT_EQ(delivered, 8);
+}
+
+TEST(Transport, RejectsNetworkOverDifferentPartitionCount) {
+  const net::ClusterParams params = net::perseus(48);  // two switches
+  des::PartitionSet two{2, params.safe_lookahead()};
+  net::Network network{two, params};
+  des::PartitionSet one{1, des::Duration{}};
+  EXPECT_THROW((net::Transport{one, network}), std::invalid_argument);
 }
 
 }  // namespace

@@ -22,7 +22,8 @@
 //     --sim-threads T    run each simulator instance on T threads with the
 //                        switch-partitioned conservative parallel engine;
 //                        0 = sequential engine. Output is byte-identical
-//                        for every T (default 0)
+//                        for every T >= 1, not always to T = 0
+//                        (default 0)
 //
 //   Fault injection (see src/net/fault.h). With any of these the summary
 //   grows tail quantiles (p99.9) and retransmission/fault counters:
